@@ -72,7 +72,14 @@ impl ValidationClassifier {
         let np = extract::primary_noun_phrase(label);
         let phrases = patterns::validation_phrases(label, np.as_ref());
 
-        // Step 1: validation vectors for the training set.
+        // Step 1: validation vectors for the training set, fetched as one
+        // wave.
+        verify::prefetch_validation(
+            engine,
+            &phrases,
+            positives.iter().chain(negatives),
+            cfg.use_pmi,
+        );
         let vector = |x: &str| verify::validation_vector(engine, &phrases, x, cfg.use_pmi);
         let pos_vecs: Vec<Vec<f64>> = positives.iter().map(|x| vector(x)).collect();
         let neg_vecs: Vec<Vec<f64>> = negatives.iter().map(|x| vector(x)).collect();
@@ -222,6 +229,7 @@ pub fn verify_borrowed_with_model<E: QueryEngine>(
         webiq_trace::incr(Counter::BayesTrainFailed);
         return (Vec::new(), None);
     };
+    verify::prefetch_validation(engine, &classifier.phrases, borrowed, cfg.use_pmi);
     let accepted = borrowed
         .iter()
         .filter(|b| {

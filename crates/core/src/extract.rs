@@ -6,7 +6,7 @@ use std::collections::BTreeMap;
 use webiq_nlp::chunk::{self, LabelForm, NounPhrase};
 use webiq_nlp::pos::{self, Tagged};
 use webiq_trace::Counter;
-use webiq_web::QueryEngine;
+use webiq_web::{QueryBatch, QueryEngine};
 
 use crate::config::WebIQConfig;
 use crate::patterns::{extraction_patterns, CompletionSide, MaterializedPattern, PatternKind};
@@ -188,25 +188,30 @@ pub fn extract_candidates<E: QueryEngine>(
     let label_lower = label.trim().trim_end_matches(':').to_lowercase();
     let mut seen: BTreeMap<String, usize> = BTreeMap::new(); // lower → index
     let mut candidates: Vec<Candidate> = Vec::new();
-    let mut queries = 0;
 
-    for np in &nps {
-        for pattern in extraction_patterns(np, &info.object) {
-            let query = build_query(&pattern, info, cfg);
-            queries += 1;
-            webiq_trace::incr(Counter::ExtractQueries);
-            for snippet in engine.search(&query, cfg.snippets_per_query) {
-                for text in completions(&snippet.text, &pattern) {
-                    if !plausible(&text, &label_lower) {
-                        continue;
-                    }
-                    let key = text.to_lowercase();
-                    match seen.get(&key) {
-                        Some(&idx) => candidates[idx].count += 1,
-                        None => {
-                            seen.insert(key, candidates.len());
-                            candidates.push(Candidate { text, count: 1 });
-                        }
+    // Every NP × pattern query is known up front: send them as one wave.
+    let patterns: Vec<MaterializedPattern> = nps
+        .iter()
+        .flat_map(|np| extraction_patterns(np, &info.object))
+        .collect();
+    let queries: Vec<String> = patterns.iter().map(|p| build_query(p, info, cfg)).collect();
+    engine.prefetch(QueryBatch::Search {
+        queries: &queries,
+        k: cfg.snippets_per_query,
+    });
+    for (pattern, query) in patterns.iter().zip(&queries) {
+        webiq_trace::incr(Counter::ExtractQueries);
+        for snippet in engine.search(query, cfg.snippets_per_query) {
+            for text in completions(&snippet.text, pattern) {
+                if !plausible(&text, &label_lower) {
+                    continue;
+                }
+                let key = text.to_lowercase();
+                match seen.get(&key) {
+                    Some(&idx) => candidates[idx].count += 1,
+                    None => {
+                        seen.insert(key, candidates.len());
+                        candidates.push(Candidate { text, count: 1 });
                     }
                 }
             }
@@ -215,7 +220,7 @@ pub fn extract_candidates<E: QueryEngine>(
     webiq_trace::add(Counter::CandidatesExtracted, candidates.len() as u64);
     ExtractionOutcome {
         candidates,
-        queries,
+        queries: queries.len(),
     }
 }
 

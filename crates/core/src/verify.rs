@@ -4,7 +4,7 @@
 use webiq_prof::Stage;
 use webiq_stats::{outlier, pmi};
 use webiq_trace::Counter;
-use webiq_web::QueryEngine;
+use webiq_web::{QueryBatch, QueryEngine};
 
 use crate::config::WebIQConfig;
 
@@ -28,6 +28,40 @@ pub struct VerificationOutcome {
     pub validation_removed: usize,
 }
 
+/// The hit-count queries behind one validation score: the joint query
+/// `"V x"`, then, for PMI, the phrase marginal `"V"` and the candidate
+/// marginal `"x"` — in the order the scorers issue them. The one source
+/// of these strings, so a prefetched batch cannot drift from what the
+/// scorers later ask.
+pub(crate) fn validation_queries(phrase: &str, candidate: &str, use_pmi: bool) -> Vec<String> {
+    let joint = format!("\"{phrase} {candidate}\"");
+    if !use_pmi {
+        return vec![joint];
+    }
+    vec![joint, format!("\"{phrase}\""), format!("\"{candidate}\"")]
+}
+
+/// Warm `engine` for validating every one of `candidates` against every
+/// phrase: one [`QueryBatch`] of all their [`validation_queries`], whose
+/// round-trips the engine may overlap. The scoring that follows then
+/// issues the same queries one by one, unchanged.
+pub(crate) fn prefetch_validation<'c, E: QueryEngine>(
+    engine: &E,
+    phrases: &[String],
+    candidates: impl IntoIterator<Item = &'c String>,
+    use_pmi: bool,
+) {
+    let queries: Vec<String> = candidates
+        .into_iter()
+        .flat_map(|c| {
+            phrases
+                .iter()
+                .flat_map(move |p| validation_queries(p, c, use_pmi))
+        })
+        .collect();
+    engine.prefetch(QueryBatch::Hits(&queries));
+}
+
 /// Compute the validation score of `candidate` against one validation
 /// phrase (§2.2): `PMI(V, x) = NumHits(V + x) / (NumHits(V) · NumHits(x))`,
 /// or the raw joint hit count when `use_pmi` is off (the ablation that
@@ -38,13 +72,28 @@ pub fn validation_score<E: QueryEngine>(
     candidate: &str,
     use_pmi: bool,
 ) -> f64 {
-    let joint = engine.num_hits(&format!("\"{phrase} {candidate}\""));
-    if !use_pmi {
-        return joint as f64;
-    }
-    let v = engine.num_hits(&format!("\"{phrase}\""));
-    let x = engine.num_hits(&format!("\"{candidate}\""));
-    pmi::pmi(joint, v, x)
+    validation_hits(engine, phrase, candidate, use_pmi).1
+}
+
+/// The hit counts of [`validation_queries`], in issue order, and the
+/// score they give.
+fn validation_hits<E: QueryEngine>(
+    engine: &E,
+    phrase: &str,
+    candidate: &str,
+    use_pmi: bool,
+) -> (Vec<u64>, f64) {
+    let hits: Vec<u64> = validation_queries(phrase, candidate, use_pmi)
+        .iter()
+        .map(|q| engine.num_hits(q))
+        .collect();
+    let score = match hits[..] {
+        [joint, v, x] => pmi::pmi(joint, v, x),
+        [joint] => joint as f64,
+        // validation_queries yields one query or three
+        _ => 0.0,
+    };
+    (hits, score)
 }
 
 /// The full validation vector of a candidate across all phrases.
@@ -86,19 +135,13 @@ pub fn confidence_with_evidence<E: QueryEngine>(
     let mut terms = Vec::new();
     let mut scores = Vec::with_capacity(phrases.len());
     for (i, phrase) in phrases.iter().enumerate() {
-        let joint = engine.num_hits(&format!("\"{phrase} {candidate}\""));
-        terms.push((format!("joint_{i}"), joint as f64));
-        let s = if use_pmi {
-            let v = engine.num_hits(&format!("\"{phrase}\""));
-            let x = engine.num_hits(&format!("\"{candidate}\""));
-            let p = pmi::pmi(joint, v, x);
-            terms.push((format!("vhits_{i}"), v as f64));
-            terms.push((format!("xhits_{i}"), x as f64));
-            terms.push((format!("pmi_{i}"), p));
-            p
-        } else {
-            joint as f64
-        };
+        let (hits, s) = validation_hits(engine, phrase, candidate, use_pmi);
+        for (name, h) in ["joint", "vhits", "xhits"].iter().zip(&hits) {
+            terms.push((format!("{name}_{i}"), *h as f64));
+        }
+        if use_pmi {
+            terms.push((format!("pmi_{i}"), s));
+        }
         scores.push(s);
     }
     (pmi::average(&scores), terms)
@@ -169,6 +212,7 @@ fn verify_candidates_inner<E: QueryEngine>(
         };
     }
 
+    prefetch_validation(engine, phrases, &kept, cfg.use_pmi);
     let evidence: Vec<CandidateEvidence> = kept
         .into_iter()
         .map(|text| {
@@ -235,6 +279,38 @@ mod tests {
 
     fn phrases() -> Vec<String> {
         vec!["make".into(), "makes such as".into()]
+    }
+
+    #[test]
+    fn validation_queries_are_joint_then_marginals() {
+        assert_eq!(
+            validation_queries("makes such as", "Honda", true),
+            ["\"makes such as Honda\"", "\"makes such as\"", "\"Honda\""]
+        );
+        assert_eq!(
+            validation_queries("make", "Honda", false),
+            ["\"make Honda\""]
+        );
+    }
+
+    #[test]
+    fn evidence_terms_follow_the_scored_queries() {
+        let e = engine();
+        for use_pmi in [true, false] {
+            let (score, terms) = confidence_with_evidence(&e, &phrases(), "Honda", use_pmi);
+            assert_eq!(score, confidence(&e, &phrases(), "Honda", use_pmi));
+            let names: Vec<&str> = terms.iter().map(|(n, _)| n.as_str()).collect();
+            let want: &[&str] = if use_pmi {
+                &[
+                    "joint_0", "vhits_0", "xhits_0", "pmi_0", "joint_1", "vhits_1", "xhits_1",
+                    "pmi_1",
+                ]
+            } else {
+                &["joint_0", "joint_1"]
+            };
+            assert_eq!(names, want);
+            assert_eq!(terms[0].1, e.num_hits("\"make Honda\"") as f64);
+        }
     }
 
     #[test]

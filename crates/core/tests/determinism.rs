@@ -28,6 +28,13 @@ fn run_with(domain_idx: usize, threads: usize, tracer: Tracer) -> Acquisition {
 }
 
 fn run_cfg(domain_idx: usize, cfg: WebIQConfig) -> Acquisition {
+    run_cfg_latency(domain_idx, cfg, 0)
+}
+
+/// [`run_cfg`] on an engine charging every cache miss a simulated
+/// round-trip of `latency_us` (0 disables it, and with it the batched
+/// prefetch path).
+fn run_cfg_latency(domain_idx: usize, cfg: WebIQConfig, latency_us: u64) -> Acquisition {
     let def = kb::all_domains()[domain_idx];
     let ds = generate_domain(def, &GenOptions::default());
     let engine = SearchEngine::new(gen::generate(
@@ -35,6 +42,7 @@ fn run_cfg(domain_idx: usize, cfg: WebIQConfig) -> Acquisition {
         &GenConfig::default(),
     ))
     .expect("engine");
+    engine.set_simulated_latency_us(latency_us);
     let sources: Vec<_> = ds
         .interfaces
         .iter()
@@ -49,9 +57,19 @@ fn run(domain_idx: usize, threads: usize) -> Acquisition {
 
 /// Acquisition with a JSONL tracer; returns the emitted event stream.
 fn run_traced(domain_idx: usize, threads: usize) -> (Acquisition, String) {
+    run_traced_latency(domain_idx, threads, 0)
+}
+
+/// [`run_traced`] with simulated engine latency.
+fn run_traced_latency(domain_idx: usize, threads: usize, latency_us: u64) -> (Acquisition, String) {
     let buf = SharedBuf::new();
     let tracer = Tracer::jsonl(Box::new(buf.clone()));
-    let acq = run_with(domain_idx, threads, tracer.clone());
+    let cfg = WebIQConfig {
+        threads: Some(threads),
+        tracer: tracer.clone(),
+        ..WebIQConfig::default()
+    };
+    let acq = run_cfg_latency(domain_idx, cfg, latency_us);
     tracer.flush();
     (acq, buf.contents_string())
 }
@@ -218,4 +236,38 @@ fn sequential_rerun_is_reproducible() {
     zero_secs(&mut b);
     assert_eq!(a.acquired, b.acquired);
     assert_eq!(a.report, b.report);
+}
+
+#[test]
+fn batched_round_trips_leave_every_output_unchanged() {
+    // With simulated latency on, each attribute's independent engine
+    // queries are prefetched as one overlapped wave per dependency step.
+    // The monitor, explain and store gates all run at latency 0 and never
+    // reach that path, so pin here that it changes nothing observable:
+    // instances, the JSONL trace and the decision stream equal the
+    // latency-0 run at every worker count.
+    let (mut reference, reference_trace) = run_traced_latency(0, 1, 0);
+    zero_secs(&mut reference);
+    assert!(
+        reference_trace.contains("\"kind\":\"bayes_verify\""),
+        "the run never trained a classifier, so two of the four waves went untested"
+    );
+    for threads in [1, 2, 4] {
+        let (mut acq, trace) = run_traced_latency(0, threads, 20);
+        zero_secs(&mut acq);
+        assert_eq!(
+            reference.acquired, acq.acquired,
+            "acquired instances differ at {threads} threads"
+        );
+        assert_eq!(
+            reference.report, acq.report,
+            "reports differ at {threads} threads"
+        );
+        assert_eq!(
+            decision_lines(&reference_trace),
+            decision_lines(&trace),
+            "decision stream differs at {threads} threads"
+        );
+        assert_eq!(reference_trace, trace, "trace differs at {threads} threads");
+    }
 }

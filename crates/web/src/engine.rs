@@ -24,8 +24,13 @@
 //!   depend on scheduling, live only in the per-engine [`EngineStats`]
 //!   and the process-wide `webiq-prof` registry (which also attributes
 //!   evictions and times cache-missing queries) and never enter the
-//!   deterministic trace stream.
+//!   deterministic trace stream;
+//! - a [`QueryBatch`] of queries that are all known before the first is
+//!   sent can be fetched up front with [`QueryEngine::prefetch`], which
+//!   overlaps its simulated round-trips (8 in flight) so the scorer's
+//!   one-by-one calls that follow all hit the cache.
 
+use std::collections::BTreeSet;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
@@ -66,6 +71,13 @@ pub trait QueryEngine {
     fn validation_available(&self) -> bool {
         true
     }
+
+    /// Warm the engine's caches for every query in `batch`, so the
+    /// one-by-one `search`/`num_hits` calls that follow are served
+    /// locally. Results never change; only the waiting does. The default
+    /// does nothing, which keeps wrappers that meter each call (fault
+    /// injection, retry, breaker, quota) strictly per-call.
+    fn prefetch(&self, _batch: QueryBatch<'_>) {}
 }
 
 impl QueryEngine for SearchEngine {
@@ -76,6 +88,46 @@ impl QueryEngine for SearchEngine {
     fn num_hits(&self, query: &str) -> u64 {
         SearchEngine::num_hits(self, query)
     }
+
+    fn prefetch(&self, batch: QueryBatch<'_>) {
+        SearchEngine::prefetch(self, batch);
+    }
+}
+
+/// A wave of engine queries whose strings are all known before the first
+/// one is sent — the unit of [`QueryEngine::prefetch`]. Duplicates are
+/// allowed; they cost nothing extra.
+#[derive(Debug, Clone, Copy)]
+pub enum QueryBatch<'a> {
+    /// Hit-count queries (`num_hits`).
+    Hits(&'a [String]),
+    /// Search queries (`search`), each for its top `k` snippets.
+    Search {
+        /// The query strings.
+        queries: &'a [String],
+        /// Snippets per query, as the later `search` calls will ask.
+        k: usize,
+    },
+}
+
+impl QueryBatch<'_> {
+    /// Number of queries in the batch, duplicates included.
+    fn len(&self) -> usize {
+        match self {
+            QueryBatch::Hits(queries) | QueryBatch::Search { queries, .. } => queries.len(),
+        }
+    }
+}
+
+/// Requests a batching client keeps in flight at once: a batch of `n`
+/// cache misses waits ⌈n / 8⌉ round-trips instead of `n`.
+const BATCH_IN_FLIGHT: usize = 8;
+
+/// Wall-clock round-trips a batch of `misses` cache misses waits for
+/// with [`BATCH_IN_FLIGHT`] requests in flight. Each miss still takes
+/// one full round-trip; the round-trips overlap, none gets shorter.
+fn batch_round_trips(misses: usize) -> usize {
+    misses.div_ceil(BATCH_IN_FLIGHT)
 }
 
 /// Counters for engine traffic, used by the overhead analysis.
@@ -188,8 +240,11 @@ impl SearchEngine {
     /// Charge every cache-missing query a simulated network round-trip of
     /// `us` microseconds (the paper cites 0.1-0.5 s per Google query).
     /// Makes the engine I/O-bound like its real counterpart, so benchmarks
-    /// can observe round-trip overlap from the parallel executor; results
-    /// and counters are unaffected. 0 disables.
+    /// can observe round-trip overlap, both from the parallel executor and
+    /// from [`SearchEngine::prefetch`], which waits ⌈n / 8⌉ round-trips
+    /// for a batch of `n` misses. Results and counters are unaffected.
+    /// 0 disables the latency, and with it batching: a prefetch at
+    /// latency 0 does nothing.
     pub fn set_simulated_latency_us(&self, us: u64) {
         self.latency_us.store(us, Ordering::Relaxed);
     }
@@ -197,7 +252,7 @@ impl SearchEngine {
     /// Sleep for the configured simulated round-trip, if any. Called on
     /// the issuing thread outside any cache lock.
     fn simulate_round_trip(&self) {
-        let us = self.latency_us.load(Ordering::Relaxed);
+        let us = self.latency_us();
         if us > 0 {
             // Opt-in latency simulation: models the network's own round-trip
             // (off by default, enabled only by chaos/latency experiments); no
@@ -205,6 +260,10 @@ impl SearchEngine {
             // lint:allow(no-sleep) simulated network round-trip; output never depends on wake time
             std::thread::sleep(std::time::Duration::from_micros(us));
         }
+    }
+
+    fn latency_us(&self) -> u64 {
+        self.latency_us.load(Ordering::Relaxed)
     }
 
     /// Traffic counters.
@@ -293,15 +352,21 @@ impl SearchEngine {
             webiq_prof::incr(ProfCounter::HitCacheHit);
             return hits;
         }
-        self.stats.bump(Counter::HitCacheMiss);
-        webiq_prof::incr(ProfCounter::HitCacheMiss);
         webiq_prof::time(Stage::EngineQuery, || {
             self.simulate_round_trip();
-            let q = self.parse_cached(query);
-            let hits = self.matching_docs(&q).len() as u64;
-            self.hit_cache.insert(query.to_string(), hits);
-            hits
+            self.fetch_hits(query)
         })
+    }
+
+    /// Serve a hit-count cache miss: count it, answer it from the index
+    /// and cache the answer. The caller charges the round-trip.
+    fn fetch_hits(&self, query: &str) -> u64 {
+        self.stats.bump(Counter::HitCacheMiss);
+        webiq_prof::incr(ProfCounter::HitCacheMiss);
+        let q = self.parse_cached(query);
+        let hits = self.matching_docs(&q).len() as u64;
+        self.hit_cache.insert(query.to_string(), hits);
+        hits
     }
 
     /// Top-`k` snippets for `query`, in ascending doc-id order (the
@@ -317,34 +382,87 @@ impl SearchEngine {
             webiq_prof::incr(ProfCounter::SearchCacheHit);
             return hit.as_ref().clone();
         }
-        self.stats.bump(Counter::SearchCacheMiss);
-        webiq_prof::incr(ProfCounter::SearchCacheMiss);
         webiq_prof::time(Stage::EngineQuery, || {
             self.simulate_round_trip();
-            let q = self.parse_cached(query);
-            let snippets: Vec<Snippet> = self
-                .matching_docs(&q)
-                .into_iter()
-                .take(k)
-                .filter_map(|(doc_id, pos)| {
-                    // Doc ids come from the index; a miss means index/corpus
-                    // drift and the snippet is dropped rather than panicking.
-                    let doc = self.corpus.get(doc_id)?;
-                    Some(Snippet {
-                        doc_id,
-                        text: make_snippet(&doc.text, pos),
-                    })
-                })
-                .collect();
-            if self
-                .search_cache
-                .insert(query, key, Arc::new(snippets.clone()))
-                .is_some()
-            {
-                webiq_prof::incr(ProfCounter::SearchCacheEvict);
-            }
-            snippets
+            self.fetch_search(query, key).as_ref().clone()
         })
+    }
+
+    /// Serve a search cache miss for `key = (query, k)`: count it, build
+    /// the snippets from the index and cache them. The caller charges the
+    /// round-trip.
+    fn fetch_search(&self, query: &str, key: (String, usize)) -> Arc<Vec<Snippet>> {
+        self.stats.bump(Counter::SearchCacheMiss);
+        webiq_prof::incr(ProfCounter::SearchCacheMiss);
+        let q = self.parse_cached(query);
+        let snippets: Vec<Snippet> = self
+            .matching_docs(&q)
+            .into_iter()
+            .take(key.1)
+            .filter_map(|(doc_id, pos)| {
+                // Doc ids come from the index; a miss means index/corpus
+                // drift and the snippet is dropped rather than panicking.
+                let doc = self.corpus.get(doc_id)?;
+                Some(Snippet {
+                    doc_id,
+                    text: make_snippet(&doc.text, pos),
+                })
+            })
+            .collect();
+        let snippets = Arc::new(snippets);
+        if self
+            .search_cache
+            .insert(query, key, Arc::clone(&snippets))
+            .is_some()
+        {
+            webiq_prof::incr(ProfCounter::SearchCacheEvict);
+        }
+        snippets
+    }
+
+    /// Fetch every uncached query of `batch` on the calling thread and
+    /// wait for them as a client with 8 requests in flight would:
+    /// ⌈misses / 8⌉ simulated round-trips in one
+    /// [`Stage::EngineQuery`] timer. Duplicates and cached queries cost
+    /// nothing. Each miss is counted in [`EngineStats`] and the `webiq-prof`
+    /// registry exactly as a one-by-one call would count it, but the
+    /// thread-local issued counters do not move: the scorer's own calls
+    /// that follow issue the queries (and find them cached), so the
+    /// deterministic per-item accounting is unchanged.
+    ///
+    /// Batches of at most one query, and every batch while the simulated
+    /// latency is 0, are left to the one-by-one calls: there is no
+    /// waiting to overlap.
+    pub fn prefetch(&self, batch: QueryBatch<'_>) {
+        if batch.len() <= 1 || self.latency_us() == 0 {
+            return;
+        }
+        webiq_prof::time(Stage::EngineQuery, || {
+            let mut seen = BTreeSet::new();
+            let mut misses = 0;
+            match batch {
+                QueryBatch::Hits(queries) => {
+                    for query in queries.iter().filter(|q| seen.insert(q.as_str())) {
+                        if self.hit_cache.get(query).is_none() {
+                            self.fetch_hits(query);
+                            misses += 1;
+                        }
+                    }
+                }
+                QueryBatch::Search { queries, k } => {
+                    for query in queries.iter().filter(|q| seen.insert(q.as_str())) {
+                        let key = (query.clone(), k);
+                        if self.search_cache.get(query, &key).is_none() {
+                            self.fetch_search(query, key);
+                            misses += 1;
+                        }
+                    }
+                }
+            }
+            for _ in 0..batch_round_trips(misses) {
+                self.simulate_round_trip();
+            }
+        });
     }
 }
 
@@ -592,6 +710,139 @@ mod tests {
         let e = SearchEngine::new(Corpus::default()).expect("empty corpus is valid");
         assert_eq!(e.num_hits("anything"), 0);
         assert!(e.search("anything", 5).is_empty());
+    }
+
+    fn strings(xs: &[&str]) -> Vec<String> {
+        xs.iter().map(|x| (*x).to_string()).collect()
+    }
+
+    /// An engine whose cache misses cost a 1 µs simulated round-trip, so
+    /// prefetch batches are served.
+    fn latency_engine() -> SearchEngine {
+        let e = engine();
+        e.set_simulated_latency_us(1);
+        e
+    }
+
+    #[test]
+    fn prefetch_counts_one_miss_per_distinct_query() {
+        let e = latency_engine();
+        let queries = strings(&["boston", "delta", r#""cities such as""#, "gardening"]);
+        e.prefetch(QueryBatch::Hits(&queries));
+        assert_eq!(e.stats().hit_queries(), 4);
+        assert_eq!(e.stats().total_issued(), 0);
+        let searches = strings(&["boston", "chicago", "flights"]);
+        e.prefetch(QueryBatch::Search {
+            queries: &searches,
+            k: 3,
+        });
+        assert_eq!(e.stats().search_queries(), 3);
+        // the scorer's calls that follow are all served from the cache
+        for q in &queries {
+            let _ = e.num_hits(q);
+        }
+        for q in &searches {
+            let _ = e.search(q, 3);
+        }
+        assert_eq!(e.stats().total(), 7);
+        assert_eq!(e.stats().metrics().get(Counter::HitCacheHit), 4);
+        assert_eq!(e.stats().metrics().get(Counter::SearchCacheHit), 3);
+    }
+
+    #[test]
+    fn prefetch_skips_duplicates_and_cached_queries() {
+        let e = latency_engine();
+        let _ = e.num_hits("boston");
+        let _ = e.search("delta", 4);
+        assert_eq!(e.stats().total(), 2);
+        e.prefetch(QueryBatch::Hits(&strings(&[
+            "boston", "chicago", "chicago", "boston", "chicago",
+        ])));
+        assert_eq!(e.stats().hit_queries(), 2, "only chicago is new");
+        e.prefetch(QueryBatch::Search {
+            queries: &strings(&["delta", "delta", "atlanta", "atlanta"]),
+            k: 4,
+        });
+        assert_eq!(e.stats().search_queries(), 2, "only atlanta is new");
+        // a different k is a different cache entry
+        e.prefetch(QueryBatch::Search {
+            queries: &strings(&["delta", "atlanta"]),
+            k: 1,
+        });
+        assert_eq!(e.stats().search_queries(), 4);
+    }
+
+    #[test]
+    fn prefetched_results_equal_one_by_one_results() {
+        let hits = strings(&[
+            "boston",
+            r#""cities such as" +flights"#,
+            "boston -chicago",
+            "nonexistentterm",
+            "",
+        ]);
+        let searches = strings(&["boston", r#""cities such as""#, "delta", "tomatoes"]);
+        let plain = engine();
+        let batched = latency_engine();
+        batched.prefetch(QueryBatch::Hits(&hits));
+        for k in [1, 2, 10] {
+            batched.prefetch(QueryBatch::Search {
+                queries: &searches,
+                k,
+            });
+        }
+        let before = batched.stats().total();
+        for q in &hits {
+            assert_eq!(batched.num_hits(q), plain.num_hits(q), "{q}");
+        }
+        for k in [1, 2, 10] {
+            for q in &searches {
+                assert_eq!(batched.search(q, k), plain.search(q, k), "{q} k={k}");
+            }
+        }
+        assert_eq!(batched.stats().total(), before, "every call was cached");
+    }
+
+    #[test]
+    fn prefetch_leaves_thread_issued_counters_alone() {
+        let e = latency_engine();
+        let before = webiq_trace::snapshot();
+        e.prefetch(QueryBatch::Hits(&strings(&[
+            "seattle", "atlanta", "boston",
+        ])));
+        e.prefetch(QueryBatch::Search {
+            queries: &strings(&["seattle", "atlanta"]),
+            k: 2,
+        });
+        let d = webiq_trace::snapshot().diff(&before);
+        assert_eq!(d.get(Counter::EngineHitIssued), 0);
+        assert_eq!(d.get(Counter::EngineSearchIssued), 0);
+        assert_eq!(e.stats().total(), 5);
+    }
+
+    #[test]
+    fn batch_charges_one_round_trip_per_eight_misses() {
+        assert_eq!(batch_round_trips(0), 0);
+        assert_eq!(batch_round_trips(1), 1);
+        assert_eq!(batch_round_trips(8), 1);
+        assert_eq!(batch_round_trips(9), 2);
+        assert_eq!(batch_round_trips(16), 2);
+        assert_eq!(batch_round_trips(17), 3);
+    }
+
+    #[test]
+    fn prefetch_is_a_noop_without_latency_or_with_one_query() {
+        let e = engine();
+        e.prefetch(QueryBatch::Hits(&strings(&["boston", "delta"])));
+        e.prefetch(QueryBatch::Search {
+            queries: &strings(&["boston", "delta"]),
+            k: 3,
+        });
+        assert_eq!(e.stats().total(), 0, "latency 0 leaves the batch alone");
+        let e = latency_engine();
+        e.prefetch(QueryBatch::Hits(&strings(&["boston"])));
+        e.prefetch(QueryBatch::Hits(&[]));
+        assert_eq!(e.stats().total(), 0, "a single query is left to its call");
     }
 
     #[test]
