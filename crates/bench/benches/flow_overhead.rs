@@ -8,7 +8,7 @@
 //! `BENCH_flow.json` next to the workspace root.
 
 use webiq_bench::json::obj;
-use webiq_bench::timing::{fmt_time, time_once};
+use webiq_bench::timing::{fmt_time, median, time_once};
 use webiq_lint::flow;
 use webiq_lint::graph::{self, ParsedSource};
 use webiq_lint::{parse, walk, Scope};
@@ -16,18 +16,13 @@ use webiq_lint::{parse, walk, Scope};
 const OUT_PATH: &str = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_flow.json");
 const REPS: usize = 7;
 
-fn median(mut xs: Vec<f64>) -> f64 {
-    xs.sort_by(f64::total_cmp);
-    xs[xs.len() / 2]
-}
-
 fn measure(f: impl Fn()) -> f64 {
     let mut times = Vec::with_capacity(REPS);
     for _ in 0..REPS {
         let ((), secs) = time_once(&f);
         times.push(secs);
     }
-    median(times)
+    median(&times)
 }
 
 fn main() {

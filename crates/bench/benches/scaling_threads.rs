@@ -19,6 +19,7 @@
 
 use webiq::core::{Components, WebIQConfig};
 use webiq::pipeline::DomainPipeline;
+use webiq::prof::ProfCounter;
 use webiq_bench::experiments::SEED;
 use webiq_bench::json::{obj, Json};
 use webiq_bench::timing::{fmt_time, time_once};
@@ -50,9 +51,15 @@ fn run_domain(key: &'static str) -> (Vec<Run>, &'static str) {
             threads: Some(threads),
             ..WebIQConfig::default()
         };
+        let before = webiq::prof::snapshot();
         let (acq, secs) = time_once(|| p.acquire(Components::ALL, &cfg).expect("acquisition"));
-        let queries = p.engine.stats().total_issued() + acq.report.attr_deep_cost.probes;
-        let cache_hit_rate = p.engine.stats().cache_hit_rate();
+        let d = webiq::prof::snapshot().diff(&before);
+        let r = &acq.report;
+        let issued = r.surface_cost.engine_queries + r.attr_surface_cost.engine_queries;
+        let queries = issued + r.attr_deep_cost.probes;
+        // prefetched misses count too: the queries they answer are issued later
+        let misses = d.get(ProfCounter::SearchCacheMiss) + d.get(ProfCounter::HitCacheMiss);
+        let cache_hit_rate = 1.0 - misses as f64 / issued as f64;
         println!(
             "scaling_threads/{key:<11} {threads} thread(s): {:>10}   {queries} queries   \
              cache hit-rate {:.1}%",

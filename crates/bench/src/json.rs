@@ -66,8 +66,8 @@ impl<T: Into<Json>> From<Vec<T>> for Json {
 }
 
 /// Build an object from `(key, value)` pairs, preserving order.
-pub fn obj<const N: usize>(pairs: [(&str, Json); N]) -> Json {
-    Json::Obj(pairs.into_iter().map(|(k, v)| (k.to_string(), v)).collect())
+pub fn obj<K: Into<String>>(pairs: impl IntoIterator<Item = (K, Json)>) -> Json {
+    Json::Obj(pairs.into_iter().map(|(k, v)| (k.into(), v)).collect())
 }
 
 /// Types that know their JSON representation (the experiment row structs).

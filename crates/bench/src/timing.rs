@@ -76,13 +76,12 @@ fn run_one(name: &str, sample_size: usize, f: &mut dyn FnMut(&mut Bencher)) -> O
         samples: Vec::new(),
     };
     f(&mut b);
-    let mut s = b.samples;
+    let s = b.samples;
     if s.is_empty() {
         println!("{name:<50} (no measurement)");
         return None;
     }
-    s.sort_by(f64::total_cmp);
-    let median = s[s.len() / 2];
+    let median = median(&s);
     let mean = s.iter().sum::<f64>() / s.len() as f64;
     println!(
         "{name:<50} median {:>10}   mean {:>10}   ({} samples)",
@@ -193,6 +192,51 @@ pub fn time_once<T>(f: impl FnOnce() -> T) -> (T, f64) {
     (out, t0.elapsed().as_secs_f64())
 }
 
+/// The lower quartile, median and upper quartile of a sample.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct Quartiles {
+    /// 25th percentile.
+    pub q1: f64,
+    /// 50th percentile.
+    pub median: f64,
+    /// 75th percentile.
+    pub q3: f64,
+}
+
+impl Quartiles {
+    /// Interquartile range, `q3 - q1`.
+    pub fn iqr(&self) -> f64 {
+        self.q3 - self.q1
+    }
+}
+
+/// Quartiles of `xs`, each linearly interpolated between the two
+/// nearest order statistics (rank `p * (n - 1)`), so an even-length
+/// sample's median is the mean of its two middle values. An empty
+/// sample gives NaN throughout.
+pub fn quartiles(xs: &[f64]) -> Quartiles {
+    let mut s = xs.to_vec();
+    s.sort_by(f64::total_cmp);
+    let at = |p: f64| {
+        let rank = p * (s.len().saturating_sub(1)) as f64;
+        let (lo, hi) = (rank.floor() as usize, rank.ceil() as usize);
+        match (s.get(lo), s.get(hi)) {
+            (Some(a), Some(b)) => a + (b - a) * (rank - lo as f64),
+            _ => f64::NAN,
+        }
+    };
+    Quartiles {
+        q1: at(0.25),
+        median: at(0.5),
+        q3: at(0.75),
+    }
+}
+
+/// Median of `xs` (see [`quartiles`]).
+pub fn median(xs: &[f64]) -> f64 {
+    quartiles(xs).median
+}
+
 /// Declare a bench group function `$name` that applies `$config` and runs
 /// each target. Criterion-macro compatible.
 #[macro_export]
@@ -233,6 +277,27 @@ mod tests {
         assert!(fmt_time(3e-6).ends_with("µs"));
         assert!(fmt_time(3e-3).ends_with("ms"));
         assert!(fmt_time(3.0).ends_with('s'));
+    }
+
+    #[test]
+    fn median_of_odd_and_even_lengths() {
+        assert_eq!(median(&[3.0, 1.0, 2.0]), 2.0);
+        assert_eq!(median(&[4.0, 1.0, 3.0, 2.0]), 2.5);
+        assert_eq!(median(&[7.0]), 7.0);
+        assert!(median(&[]).is_nan());
+    }
+
+    #[test]
+    fn quartiles_interpolate_and_give_the_iqr() {
+        // odd: every quartile lands on an order statistic
+        let q = quartiles(&[5.0, 1.0, 4.0, 2.0, 3.0]);
+        assert_eq!((q.q1, q.median, q.q3), (2.0, 3.0, 4.0));
+        assert_eq!(q.iqr(), 2.0);
+        // even: ranks 0.75, 1.5 and 2.25 fall between order statistics
+        let q = quartiles(&[40.0, 10.0, 30.0, 20.0]);
+        assert_eq!((q.q1, q.median, q.q3), (17.5, 25.0, 32.5));
+        assert_eq!(q.iqr(), 15.0);
+        assert_eq!(quartiles(&[2.0, 2.0, 2.0]).iqr(), 0.0);
     }
 
     #[test]

@@ -10,8 +10,8 @@
 //! [`record_worker`]) without any plumbing, and measurement tools take
 //! [`snapshot`]s or [`reset`] between runs. All operations are relaxed
 //! atomic adds/maxes: wait-free, allocation-free, and cheap enough to
-//! stay always-on (the `prof_overhead` bench holds the total under 1%
-//! of acquisition wall-clock).
+//! stay always-on (the `overhead` bench holds the total under 1% of
+//! acquisition wall-clock).
 
 use std::sync::atomic::{AtomicU64, Ordering};
 

@@ -23,8 +23,9 @@
 //! A [`ProfSnapshot`] is a point-in-time copy of everything, renderable
 //! as `webiq_prof_*` Prometheus series ([`ProfSnapshot::render_prom`])
 //! and parseable back from a scrape ([`ProfSnapshot::from_prom_text`])
-//! so regression gates can diff two profiles. The `prof_overhead` bench
-//! pins the whole apparatus under 1% of acquisition wall-clock.
+//! so regression gates can diff two profiles. The `prof` entry of the
+//! `overhead` bench pins the whole apparatus under 1% of acquisition
+//! wall-clock.
 //!
 //! Like every library crate in the workspace, webiq-prof is
 //! dependency-free and panic-free.

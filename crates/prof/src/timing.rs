@@ -16,7 +16,7 @@ use crate::counters::{record_stage, Stage};
 /// Run `f`, crediting its wall-clock to `stage`, and return its result.
 ///
 /// The overhead is one `Instant::now` pair plus two relaxed atomic adds
-/// (see the `prof_overhead` bench); elapsed times beyond ~584 years
+/// (see the `overhead` bench); elapsed times beyond ~584 years
 /// saturate rather than wrap.
 #[inline]
 pub fn time<R>(stage: Stage, f: impl FnOnce() -> R) -> R {

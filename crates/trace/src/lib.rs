@@ -13,7 +13,7 @@
 //!   in thread-local [`MetricSet`]s whose per-item *deltas* are merged at
 //!   scope-join ([`metrics`]);
 //! - sinks are pluggable: [`NoopSink`] (tracing off costs nothing —
-//!   guarded by the `trace_overhead` bench), [`MemorySink`] for tests,
+//!   guarded by the `overhead` bench), [`MemorySink`] for tests,
 //!   and [`JsonlSink`] for durable traces ([`sink`]);
 //! - [`report`] renders a trace into the per-domain funnel summary
 //!   (attrs in → candidates → verified → borrowed → probed → matched),

@@ -15,16 +15,16 @@
 //!   Merging adds bucket-wise.
 //!
 //! [`SharedMetrics`] is the atomic variant used for per-instance state
-//! shared across threads (e.g. a search engine's cache hit/miss tallies).
-//! Those tallies depend on scheduling (racing threads may both count a
-//! miss on the same fresh query), which is exactly why the deterministic
-//! trace-event stream is built from thread-local [`MetricSet`] deltas and
-//! never from [`SharedMetrics`].
+//! shared across threads (e.g. the running totals of a live metrics
+//! registry, scraped while a run is still publishing). What such a set
+//! holds at a given moment depends on scheduling, which is why the
+//! deterministic trace-event stream is built from thread-local
+//! [`MetricSet`] deltas and never from [`SharedMetrics`].
 
 use std::sync::atomic::{AtomicU64, Ordering};
 
 /// Number of [`Counter`] variants (the fixed size of a [`MetricSet`]).
-pub const NUM_COUNTERS: usize = 49;
+pub const NUM_COUNTERS: usize = 45;
 
 /// Every counter the pipeline records, in serialization order.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
@@ -33,14 +33,6 @@ pub enum Counter {
     EngineSearchIssued,
     /// `num_hits` calls issued (cache hits and misses alike).
     EngineHitIssued,
-    /// Snippet-cache lookups served from the LRU (per-engine only).
-    SearchCacheHit,
-    /// Snippet-cache lookups that missed (per-engine only).
-    SearchCacheMiss,
-    /// Hit-count-cache lookups served from the sharded map (per-engine only).
-    HitCacheHit,
-    /// Hit-count-cache lookups that missed (per-engine only).
-    HitCacheMiss,
     /// Attributes visited by the acquisition strategy.
     AttrsTotal,
     /// Attributes with no pre-defined instances (§5 case 1).
@@ -134,10 +126,6 @@ impl Counter {
     pub const ALL: [Counter; NUM_COUNTERS] = [
         Counter::EngineSearchIssued,
         Counter::EngineHitIssued,
-        Counter::SearchCacheHit,
-        Counter::SearchCacheMiss,
-        Counter::HitCacheHit,
-        Counter::HitCacheMiss,
         Counter::AttrsTotal,
         Counter::AttrsNoInstance,
         Counter::AttrsPredefined,
@@ -188,10 +176,6 @@ impl Counter {
         match self {
             Counter::EngineSearchIssued => "engine_search_issued",
             Counter::EngineHitIssued => "engine_hit_issued",
-            Counter::SearchCacheHit => "search_cache_hit",
-            Counter::SearchCacheMiss => "search_cache_miss",
-            Counter::HitCacheHit => "hit_cache_hit",
-            Counter::HitCacheMiss => "hit_cache_miss",
             Counter::AttrsTotal => "attrs_total",
             Counter::AttrsNoInstance => "attrs_no_instance",
             Counter::AttrsPredefined => "attrs_predefined",
@@ -318,9 +302,10 @@ impl MetricSet {
     }
 }
 
-/// Atomic counter array for state shared across threads (per-engine cache
-/// statistics). Values here may depend on scheduling; they feed run
-/// summaries, never the deterministic event stream.
+/// Atomic counter array for state shared across threads (a live
+/// registry's running totals). Values read here may depend on
+/// scheduling; they feed run summaries, never the deterministic event
+/// stream.
 #[derive(Debug)]
 pub struct SharedMetrics {
     counts: [AtomicU64; NUM_COUNTERS],
@@ -676,9 +661,9 @@ mod tests {
     #[test]
     fn shared_metrics_snapshot() {
         let s = SharedMetrics::new();
-        s.add(Counter::SearchCacheHit, 4);
-        assert_eq!(s.get(Counter::SearchCacheHit), 4);
-        assert_eq!(s.snapshot().get(Counter::SearchCacheHit), 4);
+        s.add(Counter::AttrsTotal, 4);
+        assert_eq!(s.get(Counter::AttrsTotal), 4);
+        assert_eq!(s.snapshot().get(Counter::AttrsTotal), 4);
         s.reset();
         assert!(s.snapshot().is_zero());
     }

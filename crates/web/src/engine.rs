@@ -21,10 +21,11 @@
 //!   queries its own work item issued, independent of cache state or
 //!   scheduling — the basis of the deterministic per-component cost
 //!   accounting in `webiq-core`. Cache hit/miss tallies, which *do*
-//!   depend on scheduling, live only in the per-engine [`EngineStats`]
-//!   and the process-wide `webiq-prof` registry (which also attributes
-//!   evictions and times cache-missing queries) and never enter the
-//!   deterministic trace stream;
+//!   depend on scheduling, live only in the process-wide `webiq-prof`
+//!   registry (which also attributes evictions and times cache-missing
+//!   queries) and never enter the deterministic trace stream. A cache hit
+//!   rate is `1 - misses / issued`: the prof miss delta over the
+//!   thread-local issued count;
 //! - a [`QueryBatch`] of queries that are all known before the first is
 //!   sent can be fetched up front with [`QueryEngine::prefetch`], which
 //!   overlaps its simulated round-trips (8 in flight) so the scorer's
@@ -35,7 +36,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use webiq_prof::{ProfCounter, Stage};
-use webiq_trace::{Counter, MetricSet, SharedMetrics};
+use webiq_trace::Counter;
 
 use crate::cache::{ShardedLru, ShardedMap};
 use crate::corpus::Corpus;
@@ -130,66 +131,6 @@ fn batch_round_trips(misses: usize) -> usize {
     misses.div_ceil(BATCH_IN_FLIGHT)
 }
 
-/// Counters for engine traffic, used by the overhead analysis.
-///
-/// Backed by a `webiq-trace` [`SharedMetrics`] array: miss counters count
-/// actual round-trips to the engine core; issued counters count every
-/// call. Repeated queries (phrase and candidate marginals recur constantly
-/// during classifier training) would be served from a client-side cache in
-/// any real deployment and cost no search-engine round-trip. For
-/// per-call-site accounting that is independent of cache state, diff the
-/// thread-local counters via [`webiq_trace::snapshot`].
-#[derive(Debug, Default)]
-pub struct EngineStats {
-    metrics: SharedMetrics,
-}
-
-impl EngineStats {
-    /// Number of `search` calls that missed the cache.
-    pub fn search_queries(&self) -> u64 {
-        self.metrics.get(Counter::SearchCacheMiss)
-    }
-
-    /// Number of `num_hits` calls that missed the cache.
-    pub fn hit_queries(&self) -> u64 {
-        self.metrics.get(Counter::HitCacheMiss)
-    }
-
-    /// Total cache-missing queries of both kinds.
-    pub fn total(&self) -> u64 {
-        self.search_queries() + self.hit_queries()
-    }
-
-    /// Total issued queries of both kinds.
-    pub fn total_issued(&self) -> u64 {
-        self.metrics.get(Counter::EngineSearchIssued) + self.metrics.get(Counter::EngineHitIssued)
-    }
-
-    /// Fraction of issued queries served from cache, in `[0, 1]`.
-    pub fn cache_hit_rate(&self) -> f64 {
-        let issued = self.total_issued();
-        if issued == 0 {
-            return 0.0;
-        }
-        1.0 - self.total() as f64 / issued as f64
-    }
-
-    /// A point-in-time copy of every engine counter (issued, cache hit,
-    /// and cache miss), for run summaries.
-    pub fn metrics(&self) -> MetricSet {
-        self.metrics.snapshot()
-    }
-
-    /// Reset all counters to zero.
-    pub fn reset(&self) {
-        self.metrics.reset();
-    }
-
-    fn bump(&self, c: Counter) {
-        self.metrics.add(c, 1);
-    }
-}
-
 /// Bounded capacity of the search (snippet) result cache.
 const SEARCH_CACHE_CAP: usize = 4096;
 /// Bounded capacity of the parsed-query memo.
@@ -211,7 +152,6 @@ const PARSE_CACHE_CAP: usize = 8192;
 pub struct SearchEngine {
     corpus: Corpus,
     index: InvertedIndex,
-    stats: EngineStats,
     hit_cache: ShardedMap<u64>,
     search_cache: ShardedLru<(String, usize), Arc<Vec<Snippet>>>,
     parse_cache: ShardedLru<String, Arc<Query>>,
@@ -229,7 +169,6 @@ impl SearchEngine {
         Ok(SearchEngine {
             corpus,
             index,
-            stats: EngineStats::default(),
             hit_cache: ShardedMap::new(),
             search_cache: ShardedLru::new(SEARCH_CACHE_CAP),
             parse_cache: ShardedLru::new(PARSE_CACHE_CAP),
@@ -264,11 +203,6 @@ impl SearchEngine {
 
     fn latency_us(&self) -> u64 {
         self.latency_us.load(Ordering::Relaxed)
-    }
-
-    /// Traffic counters.
-    pub fn stats(&self) -> &EngineStats {
-        &self.stats
     }
 
     /// Number of indexed documents.
@@ -340,15 +274,13 @@ impl SearchEngine {
     }
 
     /// Number of pages matching `query` — the `NumHits` oracle of §2.2.
-    /// Results are memoised in a sharded cache, and [`EngineStats`] counts
-    /// *cache misses* only. Racing threads that miss on the same fresh
-    /// query may each count a miss; the cached value itself is a pure
-    /// function of the query, so results are unaffected.
+    /// Results are memoised in a sharded cache, and `webiq-prof` counts
+    /// each call as a cache hit or miss. Racing threads that miss on the
+    /// same fresh query may each count a miss; the cached value itself is
+    /// a pure function of the query, so results are unaffected.
     pub fn num_hits(&self, query: &str) -> u64 {
         webiq_trace::incr(Counter::EngineHitIssued);
-        self.stats.bump(Counter::EngineHitIssued);
         if let Some(hits) = self.hit_cache.get(query) {
-            self.stats.bump(Counter::HitCacheHit);
             webiq_prof::incr(ProfCounter::HitCacheHit);
             return hits;
         }
@@ -361,7 +293,6 @@ impl SearchEngine {
     /// Serve a hit-count cache miss: count it, answer it from the index
     /// and cache the answer. The caller charges the round-trip.
     fn fetch_hits(&self, query: &str) -> u64 {
-        self.stats.bump(Counter::HitCacheMiss);
         webiq_prof::incr(ProfCounter::HitCacheMiss);
         let q = self.parse_cached(query);
         let hits = self.matching_docs(&q).len() as u64;
@@ -371,14 +302,12 @@ impl SearchEngine {
 
     /// Top-`k` snippets for `query`, in ascending doc-id order (the
     /// deterministic stand-in for relevance order). Results are memoised
-    /// per `(query, k)` in a bounded LRU; [`EngineStats`] counts cache
-    /// misses only.
+    /// per `(query, k)` in a bounded LRU; `webiq-prof` counts each call as
+    /// a cache hit or miss.
     pub fn search(&self, query: &str, k: usize) -> Vec<Snippet> {
         webiq_trace::incr(Counter::EngineSearchIssued);
-        self.stats.bump(Counter::EngineSearchIssued);
         let key = (query.to_string(), k);
         if let Some(hit) = self.search_cache.get(query, &key) {
-            self.stats.bump(Counter::SearchCacheHit);
             webiq_prof::incr(ProfCounter::SearchCacheHit);
             return hit.as_ref().clone();
         }
@@ -392,7 +321,6 @@ impl SearchEngine {
     /// the snippets from the index and cache them. The caller charges the
     /// round-trip.
     fn fetch_search(&self, query: &str, key: (String, usize)) -> Arc<Vec<Snippet>> {
-        self.stats.bump(Counter::SearchCacheMiss);
         webiq_prof::incr(ProfCounter::SearchCacheMiss);
         let q = self.parse_cached(query);
         let snippets: Vec<Snippet> = self
@@ -424,11 +352,11 @@ impl SearchEngine {
     /// wait for them as a client with 8 requests in flight would:
     /// ⌈misses / 8⌉ simulated round-trips in one
     /// [`Stage::EngineQuery`] timer. Duplicates and cached queries cost
-    /// nothing. Each miss is counted in [`EngineStats`] and the `webiq-prof`
-    /// registry exactly as a one-by-one call would count it, but the
-    /// thread-local issued counters do not move: the scorer's own calls
-    /// that follow issue the queries (and find them cached), so the
-    /// deterministic per-item accounting is unchanged.
+    /// nothing. Each miss is counted in the `webiq-prof` registry exactly
+    /// as a one-by-one call would count it, but the thread-local issued
+    /// counters do not move: the scorer's own calls that follow issue the
+    /// queries (and find them cached), so the deterministic per-item
+    /// accounting is unchanged.
     ///
     /// Batches of at most one query, and every batch while the simulated
     /// latency is 0, are left to the one-by-one calls: there is no
@@ -533,19 +461,60 @@ fn make_snippet(text: &str, pos: u32) -> String {
     text[from..end].to_string()
 }
 
+/// Serialises every test in this crate that queries an engine: the
+/// `webiq-prof` registry is process-wide, so the counter delta a test
+/// takes is exact only while no other test sends queries.
+#[cfg(test)]
+pub(crate) fn prof_lock() -> std::sync::MutexGuard<'static, ()> {
+    static LOCK: std::sync::Mutex<()> = std::sync::Mutex::new(());
+    LOCK.lock()
+        .unwrap_or_else(std::sync::PoisonError::into_inner)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+    use webiq_prof::ProfSnapshot;
 
-    fn engine() -> SearchEngine {
-        SearchEngine::new(Corpus::from_texts([
+    fn corpus() -> Corpus {
+        Corpus::from_texts([
             "Flights depart daily. Popular departure cities such as Boston, Chicago, and LAX are listed.",
             "Delta is an airline based in Atlanta.",
             "airlines such as Delta and United fly from Boston",
             "cities such as Boston and Chicago host many flights",
             "random page about gardening and tomatoes",
-        ]))
-        .expect("engine")
+        ])
+    }
+
+    /// A test engine that holds [`prof_lock`] for as long as it lives.
+    struct Locked {
+        engine: SearchEngine,
+        _prof: std::sync::MutexGuard<'static, ()>,
+    }
+
+    impl std::ops::Deref for Locked {
+        type Target = SearchEngine;
+        fn deref(&self) -> &SearchEngine {
+            &self.engine
+        }
+    }
+
+    fn engine() -> Locked {
+        let _prof = prof_lock();
+        Locked {
+            engine: SearchEngine::new(corpus()).expect("engine"),
+            _prof,
+        }
+    }
+
+    /// The prof registry's movement since `before`.
+    fn prof_since(before: &ProfSnapshot) -> ProfSnapshot {
+        webiq_prof::snapshot().diff(before)
+    }
+
+    /// Cache-missing queries of both kinds in a prof delta.
+    fn misses(d: &ProfSnapshot) -> u64 {
+        d.get(ProfCounter::SearchCacheMiss) + d.get(ProfCounter::HitCacheMiss)
     }
 
     #[test]
@@ -605,28 +574,32 @@ mod tests {
     }
 
     #[test]
-    fn stats_count_queries() {
+    fn prof_counts_cache_misses() {
         let e = engine();
+        let before = webiq_prof::snapshot();
         let _ = e.search("boston", 3);
         let _ = e.num_hits("boston");
         let _ = e.num_hits("delta");
-        assert_eq!(e.stats().search_queries(), 1);
-        assert_eq!(e.stats().hit_queries(), 2);
-        assert_eq!(e.stats().total(), 3);
-        e.stats().reset();
-        assert_eq!(e.stats().total(), 0);
+        let d = prof_since(&before);
+        assert_eq!(d.get(ProfCounter::SearchCacheMiss), 1);
+        assert_eq!(d.get(ProfCounter::HitCacheMiss), 2);
+        assert_eq!(misses(&d), 3);
     }
 
     #[test]
-    fn stats_count_issued_and_hit_rate() {
+    fn hit_rate_is_one_minus_misses_over_issued() {
         let e = engine();
+        let (prof_before, trace_before) = (webiq_prof::snapshot(), webiq_trace::snapshot());
         let _ = e.num_hits("boston");
         let _ = e.num_hits("boston"); // cache hit
         let _ = e.search("boston", 3);
         let _ = e.search("boston", 3); // cache hit
-        assert_eq!(e.stats().total(), 2);
-        assert_eq!(e.stats().total_issued(), 4);
-        assert!((e.stats().cache_hit_rate() - 0.5).abs() < 1e-12);
+        let d = webiq_trace::snapshot().diff(&trace_before);
+        let issued = d.get(Counter::EngineHitIssued) + d.get(Counter::EngineSearchIssued);
+        let missed = misses(&prof_since(&prof_before));
+        assert_eq!(missed, 2);
+        assert_eq!(issued, 4);
+        assert!((1.0 - missed as f64 / issued as f64 - 0.5).abs() < 1e-12);
     }
 
     #[test]
@@ -646,18 +619,18 @@ mod tests {
     #[test]
     fn trace_counters_mirror_engine_traffic() {
         let e = engine();
-        let before = webiq_trace::snapshot();
+        let (prof_before, before) = (webiq_prof::snapshot(), webiq_trace::snapshot());
         let _ = e.num_hits("seattle");
         let _ = e.num_hits("seattle"); // cached, still issued
         let _ = e.search("atlanta", 4);
         let d = webiq_trace::snapshot().diff(&before);
         assert_eq!(d.get(Counter::EngineHitIssued), 2);
         assert_eq!(d.get(Counter::EngineSearchIssued), 1);
-        // cache hit/miss tallies are per-engine only, never thread-local
-        assert_eq!(d.get(Counter::HitCacheHit), 0);
-        assert_eq!(d.get(Counter::HitCacheMiss), 0);
-        assert_eq!(e.stats().metrics().get(Counter::HitCacheHit), 1);
-        assert_eq!(e.stats().metrics().get(Counter::HitCacheMiss), 1);
+        // cache hit/miss tallies live in the prof registry only, never
+        // in the thread-local trace counters
+        let p = prof_since(&prof_before);
+        assert_eq!(p.get(ProfCounter::HitCacheHit), 1);
+        assert_eq!(p.get(ProfCounter::HitCacheMiss), 1);
     }
 
     #[test]
@@ -667,24 +640,26 @@ mod tests {
         let _ = e.num_hits("a quite unusual profiling query");
         let _ = e.num_hits("a quite unusual profiling query"); // cache hit
         let _ = e.search("another unusual profiling query", 3);
-        let d = webiq_prof::snapshot().diff(&before);
-        // The registry is process-global and tests run in parallel, so
-        // pin lower bounds on the delta, not exact values.
-        assert!(d.get(ProfCounter::HitCacheMiss) >= 1, "{d:?}");
-        assert!(d.get(ProfCounter::HitCacheHit) >= 1, "{d:?}");
-        assert!(d.get(ProfCounter::SearchCacheMiss) >= 1, "{d:?}");
-        assert!(d.get(ProfCounter::ParseCacheMiss) >= 1, "{d:?}");
+        let d = prof_since(&before);
+        // Engine traffic is exact under the prof lock. The shard locks
+        // are also taken by this crate's cache tests, which do not hold
+        // it, so they stay a lower bound.
+        assert_eq!(d.get(ProfCounter::HitCacheMiss), 1, "{d:?}");
+        assert_eq!(d.get(ProfCounter::HitCacheHit), 1, "{d:?}");
+        assert_eq!(d.get(ProfCounter::SearchCacheMiss), 1, "{d:?}");
+        assert_eq!(d.get(ProfCounter::ParseCacheMiss), 2, "{d:?}");
         assert!(d.get(ProfCounter::ShardLockAcquire) >= 1, "{d:?}");
-        assert!(d.stage_calls(Stage::EngineQuery) >= 2, "{d:?}");
+        assert_eq!(d.stage_calls(Stage::EngineQuery), 2, "{d:?}");
     }
 
     #[test]
     fn search_cache_returns_identical_results() {
         let e = engine();
+        let before = webiq_prof::snapshot();
         let a = e.search("boston", 10);
         let b = e.search("boston", 10);
         assert_eq!(a, b);
-        assert_eq!(e.stats().search_queries(), 1);
+        assert_eq!(prof_since(&before).get(ProfCounter::SearchCacheMiss), 1);
         // a different k is a different cache entry, not a stale slice
         assert_eq!(e.search("boston", 2).len(), 2);
     }
@@ -707,6 +682,7 @@ mod tests {
 
     #[test]
     fn empty_corpus() {
+        let _prof = prof_lock();
         let e = SearchEngine::new(Corpus::default()).expect("empty corpus is valid");
         assert_eq!(e.num_hits("anything"), 0);
         assert!(e.search("anything", 5).is_empty());
@@ -718,7 +694,7 @@ mod tests {
 
     /// An engine whose cache misses cost a 1 µs simulated round-trip, so
     /// prefetch batches are served.
-    fn latency_engine() -> SearchEngine {
+    fn latency_engine() -> Locked {
         let e = engine();
         e.set_simulated_latency_us(1);
         e
@@ -727,16 +703,21 @@ mod tests {
     #[test]
     fn prefetch_counts_one_miss_per_distinct_query() {
         let e = latency_engine();
+        let (before, trace_before) = (webiq_prof::snapshot(), webiq_trace::snapshot());
         let queries = strings(&["boston", "delta", r#""cities such as""#, "gardening"]);
         e.prefetch(QueryBatch::Hits(&queries));
-        assert_eq!(e.stats().hit_queries(), 4);
-        assert_eq!(e.stats().total_issued(), 0);
+        assert_eq!(prof_since(&before).get(ProfCounter::HitCacheMiss), 4);
+        let d = webiq_trace::snapshot().diff(&trace_before);
+        assert_eq!(
+            d.get(Counter::EngineHitIssued) + d.get(Counter::EngineSearchIssued),
+            0
+        );
         let searches = strings(&["boston", "chicago", "flights"]);
         e.prefetch(QueryBatch::Search {
             queries: &searches,
             k: 3,
         });
-        assert_eq!(e.stats().search_queries(), 3);
+        assert_eq!(prof_since(&before).get(ProfCounter::SearchCacheMiss), 3);
         // the scorer's calls that follow are all served from the cache
         for q in &queries {
             let _ = e.num_hits(q);
@@ -744,32 +725,36 @@ mod tests {
         for q in &searches {
             let _ = e.search(q, 3);
         }
-        assert_eq!(e.stats().total(), 7);
-        assert_eq!(e.stats().metrics().get(Counter::HitCacheHit), 4);
-        assert_eq!(e.stats().metrics().get(Counter::SearchCacheHit), 3);
+        let d = prof_since(&before);
+        assert_eq!(misses(&d), 7);
+        assert_eq!(d.get(ProfCounter::HitCacheHit), 4);
+        assert_eq!(d.get(ProfCounter::SearchCacheHit), 3);
     }
 
     #[test]
     fn prefetch_skips_duplicates_and_cached_queries() {
         let e = latency_engine();
+        let before = webiq_prof::snapshot();
         let _ = e.num_hits("boston");
         let _ = e.search("delta", 4);
-        assert_eq!(e.stats().total(), 2);
+        assert_eq!(misses(&prof_since(&before)), 2);
         e.prefetch(QueryBatch::Hits(&strings(&[
             "boston", "chicago", "chicago", "boston", "chicago",
         ])));
-        assert_eq!(e.stats().hit_queries(), 2, "only chicago is new");
+        let hit_misses = |d: ProfSnapshot| d.get(ProfCounter::HitCacheMiss);
+        let search_misses = |d: ProfSnapshot| d.get(ProfCounter::SearchCacheMiss);
+        assert_eq!(hit_misses(prof_since(&before)), 2, "only chicago is new");
         e.prefetch(QueryBatch::Search {
             queries: &strings(&["delta", "delta", "atlanta", "atlanta"]),
             k: 4,
         });
-        assert_eq!(e.stats().search_queries(), 2, "only atlanta is new");
+        assert_eq!(search_misses(prof_since(&before)), 2, "only atlanta is new");
         // a different k is a different cache entry
         e.prefetch(QueryBatch::Search {
             queries: &strings(&["delta", "atlanta"]),
             k: 1,
         });
-        assert_eq!(e.stats().search_queries(), 4);
+        assert_eq!(search_misses(prof_since(&before)), 4);
     }
 
     #[test]
@@ -782,8 +767,9 @@ mod tests {
             "",
         ]);
         let searches = strings(&["boston", r#""cities such as""#, "delta", "tomatoes"]);
-        let plain = engine();
         let batched = latency_engine();
+        // `batched` holds the prof lock
+        let plain = SearchEngine::new(corpus()).expect("engine");
         batched.prefetch(QueryBatch::Hits(&hits));
         for k in [1, 2, 10] {
             batched.prefetch(QueryBatch::Search {
@@ -791,7 +777,7 @@ mod tests {
                 k,
             });
         }
-        let before = batched.stats().total();
+        let before = webiq_prof::snapshot();
         for q in &hits {
             assert_eq!(batched.num_hits(q), plain.num_hits(q), "{q}");
         }
@@ -800,13 +786,15 @@ mod tests {
                 assert_eq!(batched.search(q, k), plain.search(q, k), "{q} k={k}");
             }
         }
-        assert_eq!(batched.stats().total(), before, "every call was cached");
+        // every batched call was cached: each miss is one of `plain`'s
+        let plain_misses = (hits.len() + 3 * searches.len()) as u64;
+        assert_eq!(misses(&prof_since(&before)), plain_misses);
     }
 
     #[test]
     fn prefetch_leaves_thread_issued_counters_alone() {
         let e = latency_engine();
-        let before = webiq_trace::snapshot();
+        let (prof_before, before) = (webiq_prof::snapshot(), webiq_trace::snapshot());
         e.prefetch(QueryBatch::Hits(&strings(&[
             "seattle", "atlanta", "boston",
         ])));
@@ -817,7 +805,7 @@ mod tests {
         let d = webiq_trace::snapshot().diff(&before);
         assert_eq!(d.get(Counter::EngineHitIssued), 0);
         assert_eq!(d.get(Counter::EngineSearchIssued), 0);
-        assert_eq!(e.stats().total(), 5);
+        assert_eq!(misses(&prof_since(&prof_before)), 5);
     }
 
     #[test]
@@ -833,16 +821,25 @@ mod tests {
     #[test]
     fn prefetch_is_a_noop_without_latency_or_with_one_query() {
         let e = engine();
+        let before = webiq_prof::snapshot();
         e.prefetch(QueryBatch::Hits(&strings(&["boston", "delta"])));
         e.prefetch(QueryBatch::Search {
             queries: &strings(&["boston", "delta"]),
             k: 3,
         });
-        assert_eq!(e.stats().total(), 0, "latency 0 leaves the batch alone");
-        let e = latency_engine();
+        assert_eq!(
+            misses(&prof_since(&before)),
+            0,
+            "latency 0 leaves the batch alone"
+        );
+        e.set_simulated_latency_us(1);
         e.prefetch(QueryBatch::Hits(&strings(&["boston"])));
         e.prefetch(QueryBatch::Hits(&[]));
-        assert_eq!(e.stats().total(), 0, "a single query is left to its call");
+        assert_eq!(
+            misses(&prof_since(&before)),
+            0,
+            "a single query is left to its call"
+        );
     }
 
     #[test]

@@ -345,6 +345,7 @@ mod tests {
     fn hearst_patterns_are_searchable() {
         let c = [city_concept()];
         let corpus = generate(&c, &GenConfig::default());
+        let _prof = crate::engine::prof_lock();
         let engine = SearchEngine::new(corpus).expect("engine");
         // At least one of the cue phrases must be present and completed by
         // instances.
@@ -359,6 +360,7 @@ mod tests {
     fn popular_instances_have_more_hits() {
         let c = [city_concept()];
         let corpus = generate(&c, &GenConfig::default());
+        let _prof = crate::engine::prof_lock();
         let engine = SearchEngine::new(corpus).expect("engine");
         let boston = engine.num_hits("boston");
         let portland = engine.num_hits("portland");
@@ -372,6 +374,7 @@ mod tests {
     fn domain_terms_present() {
         let c = [city_concept()];
         let corpus = generate(&c, &GenConfig::default());
+        let _prof = crate::engine::prof_lock();
         let engine = SearchEngine::new(corpus).expect("engine");
         assert!(engine.num_hits("airfare") > 0);
     }

@@ -26,7 +26,7 @@ pub mod index;
 pub mod query;
 
 pub use corpus::{Corpus, Document};
-pub use engine::{EngineStats, QueryBatch, QueryEngine, SearchEngine, Snippet};
+pub use engine::{QueryBatch, QueryEngine, SearchEngine, Snippet};
 pub use error::WebError;
 pub use gen::{generate, ConceptSpec, GenConfig};
 pub use query::Query;

@@ -2,7 +2,18 @@
 //! acquisition workers, so `num_hits`/`search` must stay correct and
 //! consistent when hammered from many threads at once.
 
+use std::sync::{Mutex, MutexGuard, PoisonError};
+
+use webiq_prof::ProfCounter;
 use webiq_web::{gen, SearchEngine};
+
+/// Serialises the tests of this file: the `webiq-prof` registry is
+/// process-wide, so a counter delta is exact only while no other test
+/// sends queries.
+fn prof_lock() -> MutexGuard<'static, ()> {
+    static LOCK: Mutex<()> = Mutex::new(());
+    LOCK.lock().unwrap_or_else(PoisonError::into_inner)
+}
 
 fn build_engine() -> SearchEngine {
     let concepts = vec![
@@ -38,6 +49,7 @@ fn build_engine() -> SearchEngine {
 /// must observe exactly the answers a single-threaded run computes.
 #[test]
 fn concurrent_queries_match_sequential_answers() {
+    let _prof = prof_lock();
     let engine = build_engine();
     let queries: Vec<String> = vec![
         "boston".into(),
@@ -85,6 +97,7 @@ fn concurrent_queries_match_sequential_answers() {
 /// thread's traffic.
 #[test]
 fn thread_issued_counters_are_per_thread() {
+    let _prof = prof_lock();
     let engine = build_engine();
     std::thread::scope(|scope| {
         let handles: Vec<_> = (0..8u64)
@@ -108,12 +121,15 @@ fn thread_issued_counters_are_per_thread() {
     });
 }
 
-/// Global stats under contention: issued counts are exact; miss counts are
-/// bounded by the distinct query set (racing duplicate misses allowed) and
-/// at least the distinct-set size.
+/// Global prof counts under contention: every call is exactly one cache
+/// hit or miss, so their sum is the issued count; miss counts are bounded
+/// by the distinct query set (racing duplicate misses allowed) and at
+/// least the distinct-set size.
 #[test]
 fn global_stats_sane_under_contention() {
+    let _prof = prof_lock();
     let engine = build_engine();
+    let before = webiq_prof::snapshot();
     const THREADS: u64 = 8;
     const PER_THREAD: u64 = 40;
     std::thread::scope(|scope| {
@@ -126,20 +142,15 @@ fn global_stats_sane_under_contention() {
             });
         }
     });
-    let stats = engine.stats();
-    assert_eq!(
-        stats.metrics().get(webiq_trace::Counter::EngineHitIssued),
-        THREADS * PER_THREAD
-    );
-    assert!(stats.hit_queries() >= 10, "misses {}", stats.hit_queries());
+    let d = webiq_prof::snapshot().diff(&before);
+    let misses = d.get(ProfCounter::HitCacheMiss);
+    let issued = d.get(ProfCounter::HitCacheHit) + misses;
+    assert_eq!(issued, THREADS * PER_THREAD);
+    assert!(misses >= 10, "misses {misses}");
     assert!(
-        stats.hit_queries() <= 10 * THREADS,
-        "misses {} exceed worst-case racing bound",
-        stats.hit_queries()
+        misses <= 10 * THREADS,
+        "misses {misses} exceed worst-case racing bound"
     );
-    assert!(
-        stats.cache_hit_rate() > 0.5,
-        "hit rate {}",
-        stats.cache_hit_rate()
-    );
+    let hit_rate = 1.0 - misses as f64 / issued as f64;
+    assert!(hit_rate > 0.5, "hit rate {hit_rate}");
 }

@@ -5,7 +5,7 @@
 //! verdict vocabulary, and passes the evidence terms through. Recording
 //! is ambient — a no-op unless the calling thread is inside a traced
 //! work item — so instrumented call sites cost one thread-local borrow
-//! when tracing is off (bounded by the `why_overhead` bench).
+//! when tracing is off (bounded by the `overhead` bench).
 //!
 //! The four match-relevant families, in pipeline order:
 //!
